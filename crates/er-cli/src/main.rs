@@ -131,6 +131,66 @@ fn print_usage() {
     );
 }
 
+/// The flags each subcommand accepts: `(subcommand, value flags, switches)`.
+/// `parse_flags` enforces these lists, and a unit test checks every
+/// `er <subcommand> --flag` example in the docs against them.
+const SUBCOMMAND_FLAGS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "generate",
+        &["kind", "entities", "noise", "seed", "out"],
+        &[],
+    ),
+    (
+        "scenario run",
+        &[
+            "scenario",
+            "family",
+            "threads",
+            "scorecard-out",
+            "metrics-out",
+        ],
+        &[],
+    ),
+    (
+        "resolve",
+        &[
+            "collection",
+            "truth",
+            "blocking",
+            "weighting",
+            "pruning",
+            "threshold",
+            "clustering",
+            "threads",
+            "show-matches",
+            "retries",
+            "checkpoint-dir",
+            "fail-stage",
+            "memory-budget",
+            "stage-timeout",
+            "segment-dir",
+            "metrics-out",
+            "ingest-queue-bytes",
+            "quarantine-out",
+            "backend",
+            "workers",
+        ],
+        &["resume", "ooc"],
+    ),
+];
+
+/// Parses the flags of `subcommand` against its [`SUBCOMMAND_FLAGS`] entry.
+fn parse_subcommand_flags(
+    subcommand: &str,
+    args: &[String],
+) -> Result<BTreeMap<String, String>, String> {
+    let (_, allowed, switches) = SUBCOMMAND_FLAGS
+        .iter()
+        .find(|(name, ..)| *name == subcommand)
+        .expect("every subcommand has a flag list");
+    parse_flags(args, allowed, switches)
+}
+
 /// Parses flags into a map: `--key value` for keys in `allowed`, bare
 /// `--switch` (no value) for keys in `switches`. Unknown keys are rejected.
 fn parse_flags(
@@ -250,7 +310,7 @@ fn noise_from(name: &str) -> Result<NoiseModel, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["kind", "entities", "noise", "seed", "out"], &[])?;
+    let flags = parse_subcommand_flags("generate", args)?;
     let kind = flags.get("kind").map(String::as_str).unwrap_or("dirty");
     let entities: usize = flags
         .get("entities")
@@ -434,17 +494,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scenario_run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "scenario",
-            "family",
-            "threads",
-            "scorecard-out",
-            "metrics-out",
-        ],
-        &[],
-    )?;
+    let flags = parse_subcommand_flags("scenario run", args)?;
     let threads: usize = flags
         .get("threads")
         .map(|v| v.parse().map_err(|_| format!("bad --threads {v:?}")))
@@ -534,32 +584,7 @@ fn cmd_scenario_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_resolve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "collection",
-            "truth",
-            "blocking",
-            "weighting",
-            "pruning",
-            "threshold",
-            "clustering",
-            "threads",
-            "show-matches",
-            "retries",
-            "checkpoint-dir",
-            "fail-stage",
-            "memory-budget",
-            "stage-timeout",
-            "segment-dir",
-            "metrics-out",
-            "ingest-queue-bytes",
-            "quarantine-out",
-            "backend",
-            "workers",
-        ],
-        &["resume", "ooc"],
-    )?;
+    let flags = parse_subcommand_flags("resolve", args)?;
     let par = Parallelism::threads(
         flags
             .get("threads")
@@ -1079,8 +1104,8 @@ mod tests {
             er_core::obs::MetricsSnapshot::from_json(&std::fs::read_to_string(&mpath).unwrap())
                 .unwrap();
         assert!(
-            snapshot.counter("colstore.segments_written").unwrap() > 0,
-            "forced ooc spills runs"
+            snapshot.counter("colstore.segments_written").unwrap() >= 2,
+            "forced ooc spills both blocking and meta-blocking runs: {snapshot:?}"
         );
         assert_eq!(
             snapshot.gauge("colstore.resident_bytes"),
@@ -1334,5 +1359,117 @@ mod tests {
         resumed.push("--resume".to_string());
         cmd_resolve(&resumed).unwrap();
         let _ = std::fs::remove_dir_all(dir.join("ckpts"));
+    }
+
+    /// The `er <subcommand>` examples of one markdown text, as
+    /// `(line, subcommand, flags)`: continuation lines ending in `\` are
+    /// joined, and an example ends at a closing backtick, a `#` comment or a
+    /// shell separator.
+    fn cli_examples(text: &str) -> Vec<(usize, String, Vec<String>)> {
+        let mut examples = Vec::new();
+        let mut joined = String::new();
+        let mut start = 0;
+        for (i, line) in text.lines().enumerate() {
+            if joined.is_empty() {
+                start = i + 1;
+            }
+            if let Some(head) = line.strip_suffix('\\') {
+                joined.push_str(head);
+                joined.push(' ');
+                continue;
+            }
+            joined.push_str(line);
+            let command = std::mem::take(&mut joined);
+            for piece in command.split(['`', '|', ';', '&']) {
+                let piece = piece.split(" #").next().unwrap_or_default();
+                let tokens: Vec<&str> = piece.split_whitespace().collect();
+                let Some(at) = tokens.iter().position(|t| *t == "er" || t.ends_with("/er")) else {
+                    continue;
+                };
+                // A bare `--` (as in `cargo run --bin er -- resolve`) is no flag.
+                let mut rest = tokens[at + 1..].iter().filter(|t| **t != "--");
+                let subcommand = match rest.next() {
+                    Some(&"scenario") => format!("scenario {}", rest.next().unwrap_or(&"")),
+                    Some(sub) => sub.to_string(),
+                    None => continue,
+                };
+                let flags: Vec<String> = rest
+                    .filter_map(|t| t.trim_start_matches('[').strip_prefix("--"))
+                    .map(|f| {
+                        f.split('=')
+                            .next()
+                            .unwrap_or_default()
+                            .trim_end_matches(|c: char| !c.is_ascii_alphanumeric())
+                            .to_string()
+                    })
+                    .collect();
+                if !flags.is_empty() {
+                    examples.push((start, subcommand, flags));
+                }
+            }
+        }
+        examples
+    }
+
+    #[test]
+    fn documented_cli_examples_use_only_accepted_flags() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![root.join("README.md")];
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "md") {
+                files.push(path);
+            }
+        }
+        let mut checked = 0;
+        let mut bad = Vec::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).unwrap();
+            for (line, subcommand, flags) in cli_examples(&text) {
+                let name = file.strip_prefix(&root).unwrap_or(file);
+                let place = format!("{}:{line}", name.display());
+                let Some((_, allowed, switches)) = SUBCOMMAND_FLAGS
+                    .iter()
+                    .find(|(name, ..)| *name == subcommand)
+                else {
+                    bad.push(format!("{place}: `er {subcommand}` takes no flags"));
+                    continue;
+                };
+                for flag in flags {
+                    checked += 1;
+                    if !allowed.contains(&flag.as_str()) && !switches.contains(&flag.as_str()) {
+                        bad.push(format!("{place}: `er {subcommand}` has no --{flag}"));
+                    }
+                }
+            }
+        }
+        assert!(
+            bad.is_empty(),
+            "documented flags the CLI rejects:\n{}",
+            bad.join("\n")
+        );
+        assert!(checked >= 20, "only {checked} documented flags found");
+    }
+
+    #[test]
+    fn cli_examples_are_extracted_from_prose_and_code_blocks() {
+        let text = "Run `er resolve --threads N` or\n\
+                    er resolve --collection a.txt \\\n  [--ooc] --memory-budget=4k # --not-me\n\
+                    cargo run --bin er -- scenario run --family rdf && er-metrics-check --x\n\
+                    er generate --out p, then `er scenario list`.";
+        let flags = |v: &[&str]| v.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            cli_examples(text),
+            vec![
+                (1, "resolve".to_string(), flags(&["threads"])),
+                (
+                    2,
+                    "resolve".to_string(),
+                    flags(&["collection", "ooc", "memory-budget"])
+                ),
+                (4, "scenario run".to_string(), flags(&["family"])),
+                (5, "generate".to_string(), flags(&["out"])),
+            ]
+        );
     }
 }

@@ -315,7 +315,8 @@ thread_local! {
 
 /// The observability handle. Cheap to clone and share; every instrumented
 /// layer takes one. A disabled handle is a `None` all the way down — metric
-/// handles it vends are no-ops and spans don't read the clock.
+/// handles it vends are no-ops and spans record nothing (they read the
+/// clock once on opening, so [`Span::finish`] can still report the time).
 #[derive(Clone, Default)]
 pub struct Obs {
     registry: Option<Arc<Registry>>,
@@ -387,8 +388,12 @@ impl Obs {
     /// (or [`Span::finish`]ed) is recorded under `name`. A span opened while
     /// another is live on this thread records that span as its parent.
     pub fn span(&self, name: &str) -> Span {
+        let started = Instant::now();
         match &self.registry {
-            None => Span { inner: None },
+            None => Span {
+                started,
+                inner: None,
+            },
             Some(r) => {
                 let parent = SPAN_STACK.with(|s| {
                     let mut stack = s.borrow_mut();
@@ -397,11 +402,11 @@ impl Obs {
                     parent
                 });
                 Span {
+                    started,
                     inner: Some(SpanInner {
                         registry: Arc::clone(r),
                         name: name.to_string(),
                         parent,
-                        started: Instant::now(),
                     }),
                 }
             }
@@ -512,23 +517,27 @@ struct SpanInner {
     registry: Arc<Registry>,
     name: String,
     parent: Option<String>,
-    started: Instant,
 }
 
 /// An RAII span guard: records wall-clock under its name when dropped.
+/// The clock runs on disabled handles too, so [`Span::finish`] can hand the
+/// caller the very reading the registry records.
 pub struct Span {
+    started: Instant,
     inner: Option<SpanInner>,
 }
 
 impl Span {
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
+    /// Ends the span now and returns its wall-clock — the same reading the
+    /// registry records, so a caller needs no second clock.
+    pub fn finish(mut self) -> Duration {
+        let elapsed = self.started.elapsed();
+        self.close(elapsed);
+        elapsed
+    }
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    fn close(&mut self, elapsed: Duration) {
         if let Some(inner) = self.inner.take() {
-            let elapsed = inner.started.elapsed();
             SPAN_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
                 // Pop this span; tolerate out-of-order drops by removing the
@@ -540,6 +549,14 @@ impl Drop for Span {
             inner
                 .registry
                 .finish_span(&inner.name, inner.parent, elapsed);
+        }
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.inner.is_some() {
+            self.close(self.started.elapsed());
         }
     }
 }

@@ -303,9 +303,9 @@ fn merge_edge_runs(spill: &EdgeSpill<'_>) -> Result<Vec<(Pair, EdgeInfo)>, Segme
 }
 
 /// Out-of-core [`par_meta_block_obs`](crate::pipeline::par_meta_block_obs):
-/// the graph is built through [`BlockingGraph::par_build_ooc`], then weighted
-/// and pruned in memory exactly as the in-memory pipeline does, recording
-/// the same `meta_blocking.*` series.
+/// the graph is built through [`BlockingGraph::par_build_ooc`], then pruned
+/// and recorded by the same [`par_prune_obs`](crate::pipeline::par_prune_obs)
+/// as the in-memory pipeline.
 pub fn par_meta_block_ooc_obs(
     collection: &EntityCollection,
     blocks: &BlockCollection,
@@ -316,25 +316,9 @@ pub fn par_meta_block_ooc_obs(
     cfg: &OocConfig,
 ) -> Result<Vec<Pair>, SegmentError> {
     let graph = BlockingGraph::par_build_ooc(collection, blocks, par, cfg)?;
-    let kept = pruning.par_prune(&graph, weighting, par);
-    if obs.is_enabled() {
-        let before = graph.n_edges() as u64;
-        let after = kept.len() as u64;
-        obs.counter("meta_blocking.edges_weighted").add(before);
-        obs.counter("meta_blocking.comparisons_before").add(before);
-        obs.counter("meta_blocking.comparisons_after").add(after);
-        obs.counter("meta_blocking.comparisons_pruned")
-            .add(before.saturating_sub(after));
-        obs.counter("metablocking.edge_sort_bytes")
-            .add(graph.edge_sort_bytes());
-        let ratio = if before == 0 {
-            0.0
-        } else {
-            (before.saturating_sub(after)) as f64 / before as f64
-        };
-        obs.gauge("meta_blocking.pruning_ratio").set(ratio);
-    }
-    Ok(kept)
+    Ok(crate::pipeline::par_prune_obs(
+        &graph, weighting, pruning, par, obs,
+    ))
 }
 
 #[cfg(test)]

@@ -40,14 +40,8 @@ pub fn par_meta_block(
     pruning.par_prune(&graph, weighting, par)
 }
 
-/// [`par_meta_block`] with observability: records the number of weighted
-/// graph edges (`meta_blocking.edges_weighted`), comparisons before and
-/// after pruning (`meta_blocking.comparisons_{before,after}` — before is the
-/// edge count, i.e. the distinct candidate pairs entering the graph), the
-/// comparisons discarded (`meta_blocking.comparisons_pruned`), the
-/// pruning ratio gauge (`meta_blocking.pruning_ratio` = pruned / before),
-/// and the bytes moved through the sort-based edge aggregation
-/// (`metablocking.edge_sort_bytes` — the compact-layout build statistic).
+/// [`par_meta_block`] with observability: the graph is built in memory,
+/// then pruned and recorded by [`par_prune_obs`].
 pub fn par_meta_block_obs(
     collection: &EntityCollection,
     blocks: &BlockCollection,
@@ -57,7 +51,26 @@ pub fn par_meta_block_obs(
     obs: &Obs,
 ) -> Vec<Pair> {
     let graph = BlockingGraph::par_build(collection, blocks, par);
-    let kept = pruning.par_prune(&graph, weighting, par);
+    par_prune_obs(&graph, weighting, pruning, par, obs)
+}
+
+/// Prunes a built blocking graph and records the `meta_blocking.*` series
+/// once, whichever builder (in-memory or out-of-core) produced the graph:
+/// the number of weighted graph edges (`meta_blocking.edges_weighted`),
+/// comparisons before and after pruning (`meta_blocking.comparisons_{before,after}`
+/// — before is the edge count, i.e. the distinct candidate pairs entering
+/// the graph), the comparisons discarded (`meta_blocking.comparisons_pruned`),
+/// the pruning ratio gauge (`meta_blocking.pruning_ratio` = pruned / before),
+/// and the bytes moved through the sort-based edge aggregation
+/// (`metablocking.edge_sort_bytes` — the compact-layout build statistic).
+pub fn par_prune_obs(
+    graph: &BlockingGraph,
+    weighting: WeightingScheme,
+    pruning: PruningScheme,
+    par: Parallelism,
+    obs: &Obs,
+) -> Vec<Pair> {
+    let kept = pruning.par_prune(graph, weighting, par);
     if obs.is_enabled() {
         let before = graph.n_edges() as u64;
         let after = kept.len() as u64;

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod executor;
 pub mod recovery;
 pub mod streaming;
 
@@ -40,12 +41,13 @@ use er_blocking::block::{Block, BlockCollection};
 use er_blocking::cleaning;
 use er_blocking::minhash::MinHashBlocking;
 use er_blocking::qgrams::QGramsBlocking;
-use er_blocking::sorted_neighborhood::{MultiPassSortedNeighborhood, SortKey};
+use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::standard::StandardBlocking;
 use er_blocking::TokenBlocking;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{collection_fingerprint, OocConfig, StoreMetrics};
 use er_core::entity::EntityId;
+use er_core::fault::RetryPolicy;
 use er_core::ground_truth::GroundTruth;
 use er_core::matching::{Matcher, TfIdfMatcher, ThresholdMatcher};
 use er_core::metrics::{BlockingQuality, MatchQuality};
@@ -55,9 +57,9 @@ use er_core::parallel::Parallelism;
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
-use er_metablocking::{par_meta_block_obs, par_meta_block_ooc_obs, PruningScheme, WeightingScheme};
+use er_metablocking::{par_prune_obs, BlockingGraph, PruningScheme, WeightingScheme};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Candidates per cooperative deadline check in watchdog-governed matching:
 /// coarse enough to keep the parallel map efficient, fine enough that an
@@ -257,81 +259,23 @@ impl Pipeline {
         self.obs.snapshot()
     }
 
-    /// Runs the pipeline on a collection. With
-    /// [`PipelineBuilder::resource_limits`] configured, the blocking index is
-    /// charged against the memory budget (shedding oversized blocks on a
-    /// breach) and each stage runs under a fresh wall-clock watchdog — both
-    /// degradations are reported in the [`StageReport`] instead of aborting.
+    /// Runs the pipeline on a collection: the stage executor behind
+    /// [`Pipeline::run_with_recovery`], with one attempt per stage and no
+    /// checkpoints. With [`PipelineBuilder::resource_limits`] configured, the
+    /// blocking index is charged against the memory budget (shedding
+    /// oversized blocks on a breach) and each stage runs under a fresh
+    /// wall-clock watchdog — both degradations are reported in the
+    /// [`StageReport`] instead of aborting, and a failed meta-blocking stage
+    /// degrades to the unpruned blocked comparisons.
+    ///
+    /// # Panics
+    ///
+    /// On a [`PipelineError`]: a blocking or matching stage that failed, for
+    /// example an out-of-core spill into an unwritable
+    /// [`segment_dir`](PipelineBuilder::segment_dir).
+    /// [`Pipeline::run_with_recovery`] returns the same failure as a value.
     pub fn run(&self, collection: &EntityCollection) -> Resolution {
-        let run_span = self.obs.span("pipeline.run");
-        let mut report = StageReport::default();
-        let budget = self.limits.budget();
-
-        // ---- blocking (and cleaning) ---------------------------------------
-        let t0 = Instant::now();
-        let blocking_span = self.obs.span("pipeline.blocking");
-        let blocking_watchdog = self.limits.stage_watchdog();
-        let candidates: Vec<Pair> = match &self.blocking {
-            BlockingStage::SortedNeighborhood(keys, window) => {
-                let pairs = MultiPassSortedNeighborhood::new(keys.clone(), *window)
-                    .candidate_pairs(collection);
-                blocking_span.finish();
-                self.note_overrun("blocking", &blocking_watchdog);
-                pairs
-            }
-            block_based => {
-                let governed = self.build_blocks(collection, block_based, &budget);
-                report.blocking_time = t0.elapsed();
-                report.shed_comparisons = governed.shed_comparisons;
-                let blocked = governed.blocks.distinct_pairs(collection);
-                blocking_span.finish();
-                self.note_overrun("blocking", &blocking_watchdog);
-                report.blocked_comparisons = blocked.len() as u64;
-                // ---- meta-blocking ------------------------------------------
-                // Never skipped under pressure: pruning *reduces* downstream
-                // work, so running it is the cheapest path to the deadline.
-                if let Some(mb) = self.meta_blocking {
-                    let t1 = Instant::now();
-                    let mb_watchdog = self.limits.stage_watchdog();
-                    let mb_span = self.obs.span("pipeline.meta_blocking");
-                    let kept = self.meta_block(collection, &governed.blocks, mb, &budget);
-                    mb_span.finish();
-                    self.note_overrun("meta_blocking", &mb_watchdog);
-                    report.meta_blocking_time = t1.elapsed();
-                    kept
-                } else {
-                    blocked
-                }
-            }
-        };
-        if report.blocked_comparisons == 0 {
-            report.blocked_comparisons = candidates.len() as u64;
-            report.blocking_time = t0.elapsed();
-        }
-        report.scheduled_comparisons = candidates.len() as u64;
-
-        // ---- matching -------------------------------------------------------
-        let t2 = Instant::now();
-        let matching_span = self.obs.span("pipeline.matching");
-        let match_watchdog = self.limits.stage_watchdog();
-        let (scored_matches, skipped) =
-            self.score_candidates_governed(collection, &candidates, &match_watchdog);
-        matching_span.finish();
-        report.matching_time = t2.elapsed();
-        report.skipped_comparisons = skipped;
-        report.matched_comparisons = candidates.len() as u64 - skipped;
-
-        // ---- clustering -----------------------------------------------------
-        let clustering_span = self.obs.span("pipeline.clustering");
-        let (matches, clusters) = self.cluster(collection, scored_matches);
-        clustering_span.finish();
-        self.record_run_counters(&report, &matches, &clusters);
-        run_span.finish();
-        Resolution {
-            matches,
-            clusters,
-            report,
-        }
+        or_panic(self.run_with_recovery(collection, &single_attempt())).resolution
     }
 
     /// Records the per-run pipeline counters (cumulative across runs).
@@ -442,10 +386,7 @@ impl Pipeline {
     /// meta-blocking have no safe early-exit point (a partial index is
     /// silently wrong, not degraded), so they run to completion and the
     /// overrun is reported instead: `resource.stage_overruns` plus a warning.
-    fn note_overrun(&self, stage: &str, watchdog: &Watchdog) {
-        if !watchdog.expired() {
-            return;
-        }
+    fn note_overrun(&self, stage: &str) {
         self.obs.counter("resource.stage_overruns").incr();
         self.obs.emit(Event::Warning {
             stage: stage.to_string(),
@@ -488,57 +429,17 @@ impl Pipeline {
         }
     }
 
-    /// Runs the pipeline with a caller-supplied matcher instead of the
-    /// configured matching stage (e.g. an oracle for calibration).
-    pub fn run_with_matcher<M: Matcher>(
-        &self,
-        collection: &EntityCollection,
-        matcher: &M,
-    ) -> Resolution {
-        let t0 = Instant::now();
-        let candidates = self.candidates(collection);
-        let blocking_time = t0.elapsed();
-        let t1 = Instant::now();
-        let scored: Vec<(Pair, f64)> = candidates
-            .iter()
-            .filter_map(|&p| {
-                let d = er_core::matching::compare_pair(collection, matcher, p);
-                d.is_match.then_some((p, d.score))
-            })
-            .collect();
-        let matching_time = t1.elapsed();
-        let (matches, clusters) = self.cluster(collection, scored);
-        Resolution {
-            matches,
-            clusters,
-            report: StageReport {
-                blocked_comparisons: candidates.len() as u64,
-                scheduled_comparisons: candidates.len() as u64,
-                matched_comparisons: candidates.len() as u64,
-                blocking_time,
-                matching_time,
-                ..StageReport::default()
-            },
-        }
-    }
-
     /// The candidate comparisons the configured blocking + cleaning +
     /// meta-blocking stages produce (no matching) — the input a progressive
-    /// scheduler would consume.
+    /// scheduler would consume. This is the stage executor of
+    /// [`Pipeline::run`] stopped after scheduling.
+    ///
+    /// # Panics
+    ///
+    /// On a [`PipelineError`] from the blocking stage, as [`Pipeline::run`].
     pub fn candidates(&self, collection: &EntityCollection) -> Vec<Pair> {
-        match &self.blocking {
-            BlockingStage::SortedNeighborhood(keys, window) => {
-                MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(collection)
-            }
-            block_based => {
-                let budget = self.limits.budget();
-                let governed = self.build_blocks(collection, block_based, &budget);
-                match self.meta_blocking {
-                    Some(mb) => self.meta_block(collection, &governed.blocks, mb, &budget),
-                    None => governed.blocks.distinct_pairs(collection),
-                }
-            }
-        }
+        let opts = single_attempt();
+        or_panic(executor::Executor::new(self, collection, &opts).schedule()).pairs
     }
 
     /// Builds and cleans the blocking collection for a block-producing
@@ -546,13 +447,12 @@ impl Pipeline {
     /// parallelism, then charges the cleaned index against the memory budget
     /// (shedding oversized blocks largest-first on a breach — a disabled
     /// budget admits everything untouched).
-    pub(crate) fn build_blocks(
+    fn build_blocks(
         &self,
         collection: &EntityCollection,
-        stage: &BlockingStage,
         budget: &MemoryBudget,
-    ) -> er_blocking::governance::GovernedBlocks {
-        let blocks = match stage {
+    ) -> Result<er_blocking::governance::GovernedBlocks, String> {
+        let blocks = match &self.blocking {
             BlockingStage::Token => match self.backend {
                 Backend::InProcess if self.out_of_core => {
                     // Forced out-of-core: postings stream through sorted
@@ -560,18 +460,21 @@ impl Pipeline {
                     // the budget (run buffer + resident merge pages), so the
                     // in-memory admission charge below is skipped.
                     let cfg = self.ooc_config(collection, "blocking", budget);
-                    let blocks = TokenBlocking::new()
-                        .par_build_ooc_obs(collection, self.parallelism, &self.obs, &cfg)
-                        .unwrap_or_else(|e| panic!("out-of-core blocking failed: {e}"));
+                    let blocks = TokenBlocking::new().par_build_ooc_obs(
+                        collection,
+                        self.parallelism,
+                        &self.obs,
+                        &cfg,
+                    );
                     let _ = std::fs::remove_dir(&cfg.segment_dir);
-                    blocks
+                    blocks.map_err(|e| format!("out-of-core blocking failed: {e}"))?
                 }
                 Backend::InProcess => {
                     TokenBlocking::new().par_build_obs(collection, self.parallelism, &self.obs)
                 }
                 Backend::Subprocess { workers } => {
                     let mut transport = SubprocessTransport::new(self.subprocess_config(workers));
-                    self.dist_token_blocks(collection, &mut transport, workers)
+                    self.dist_token_blocks(collection, &mut transport, workers)?
                 }
             },
             BlockingStage::AttributeClustering => {
@@ -595,21 +498,16 @@ impl Pipeline {
                 b
             }
             BlockingStage::SortedNeighborhood(..) => {
-                unreachable!("pair-producing stage handled by callers")
+                unreachable!("pair-producing stage handled by the executor")
             }
         };
         let cleaned = self.clean_blocks(blocks, collection, &self.obs);
-        if self.out_of_core && self.ooc_blocking_applies(stage) {
+        if self.out_of_core && self.ooc_blocking_applies() {
             // The out-of-core build already ran under the budget's pager
             // governance — the cleaned index is admitted whole, zero shed.
-            return er_blocking::governance::GovernedBlocks {
-                blocks: cleaned,
-                reserved_bytes: 0,
-                shed_blocks: 0,
-                shed_comparisons: 0,
-            };
+            return Ok(unshed(cleaned));
         }
-        if budget.is_enabled() && self.segment_dir.is_some() && self.ooc_blocking_applies(stage) {
+        if budget.is_enabled() && self.segment_dir.is_some() && self.ooc_blocking_applies() {
             // Spill-to-segment rescue: probe the admission charge first, and
             // when it would breach, rebuild out-of-core instead of letting
             // `charge_or_shed` drop blocks — bounded memory *and* zero
@@ -626,7 +524,9 @@ impl Pipeline {
                 return self.spill_rescue(collection, total, budget);
             }
         }
-        er_blocking::governance::charge_or_shed(cleaned, collection, budget, &self.obs)
+        Ok(er_blocking::governance::charge_or_shed(
+            cleaned, collection, budget, &self.obs,
+        ))
     }
 
     /// Applies the configured cleaning stage. The cleaning span is recorded
@@ -658,8 +558,8 @@ impl Pipeline {
     /// Whether the out-of-core blocking paths cover this stage: only token
     /// blocking has a streamed builder, and only the in-process backend runs
     /// it (the subprocess backend already bounds memory per worker).
-    fn ooc_blocking_applies(&self, stage: &BlockingStage) -> bool {
-        matches!(stage, BlockingStage::Token) && self.backend == Backend::InProcess
+    fn ooc_blocking_applies(&self) -> bool {
+        matches!(self.blocking, BlockingStage::Token) && self.backend == Backend::InProcess
     }
 
     /// Rebuilds the blocking index out-of-core after the in-memory index
@@ -675,13 +575,13 @@ impl Pipeline {
         collection: &EntityCollection,
         index_bytes: u64,
         budget: &MemoryBudget,
-    ) -> er_blocking::governance::GovernedBlocks {
+    ) -> Result<er_blocking::governance::GovernedBlocks, String> {
         let cfg = self.ooc_config(collection, "blocking-rescue", budget);
         let quiet = Obs::disabled();
-        let rebuilt = TokenBlocking::new()
-            .par_build_ooc_obs(collection, self.parallelism, &quiet, &cfg)
-            .unwrap_or_else(|e| panic!("out-of-core blocking rescue failed: {e}"));
+        let rebuilt =
+            TokenBlocking::new().par_build_ooc_obs(collection, self.parallelism, &quiet, &cfg);
         let _ = std::fs::remove_dir(&cfg.segment_dir);
+        let rebuilt = rebuilt.map_err(|e| format!("out-of-core blocking rescue failed: {e}"))?;
         let cleaned = self.clean_blocks(rebuilt, collection, &quiet);
         self.obs.counter("colstore.spill_rescues").incr();
         self.obs.emit(Event::Warning {
@@ -692,48 +592,37 @@ impl Pipeline {
                 budget.limit().unwrap_or(0)
             ),
         });
-        er_blocking::governance::GovernedBlocks {
-            blocks: cleaned,
-            reserved_bytes: 0,
-            shed_blocks: 0,
-            shed_comparisons: 0,
-        }
+        Ok(unshed(cleaned))
     }
 
-    /// Prunes candidates with the configured meta-blocking stage, routing
-    /// through the out-of-core graph builder when
-    /// [`out_of_core`](PipelineBuilder::out_of_core) is set.
+    /// The one meta-blocking routine: builds the blocking graph in memory,
+    /// or out-of-core when [`out_of_core`](PipelineBuilder::out_of_core) is
+    /// set, prunes it and records the `meta_blocking.*` series once. Returns
+    /// the kept comparisons and the graph's edge count, which is exactly the
+    /// number of distinct blocked pairs.
     fn meta_block(
         &self,
         collection: &EntityCollection,
         blocks: &BlockCollection,
         mb: MetaBlockingStage,
         budget: &MemoryBudget,
-    ) -> Vec<Pair> {
-        if self.out_of_core {
+    ) -> Result<(Vec<Pair>, u64), String> {
+        let graph = if self.out_of_core {
             let cfg = self.ooc_config(collection, "metablocking", budget);
-            let kept = par_meta_block_ooc_obs(
-                collection,
-                blocks,
-                mb.weighting,
-                mb.pruning,
-                self.parallelism,
-                &self.obs,
-                &cfg,
-            )
-            .unwrap_or_else(|e| panic!("out-of-core meta-blocking failed: {e}"));
+            let graph = BlockingGraph::par_build_ooc(collection, blocks, self.parallelism, &cfg);
             let _ = std::fs::remove_dir(&cfg.segment_dir);
-            kept
+            graph.map_err(|e| format!("out-of-core meta-blocking failed: {e}"))?
         } else {
-            par_meta_block_obs(
-                collection,
-                blocks,
-                mb.weighting,
-                mb.pruning,
-                self.parallelism,
-                &self.obs,
-            )
-        }
+            BlockingGraph::par_build(collection, blocks, self.parallelism)
+        };
+        let kept = par_prune_obs(
+            &graph,
+            mb.weighting,
+            mb.pruning,
+            self.parallelism,
+            &self.obs,
+        );
+        Ok((kept, graph.n_edges() as u64))
     }
 
     /// The out-of-core configuration for one stage of one run: a fresh
@@ -791,15 +680,15 @@ impl Pipeline {
     /// key-sorted reduce output is exactly the lexicographic block order of
     /// the in-process build, so the returned collection is bit-identical to
     /// [`TokenBlocking::par_build_obs`]. A typed [`er_mapreduce`] execution
-    /// error (worker crash loop, handshake rejection, stage deadline) panics
-    /// with its message, which the recovery layer catches and retries like
-    /// any other blocking-stage fault.
+    /// error (worker crash loop, handshake rejection, stage deadline) is
+    /// returned as the stage's error, which the executor retries like any
+    /// other blocking-stage fault.
     fn dist_token_blocks(
         &self,
         collection: &EntityCollection,
         transport: &mut dyn Transport,
         workers: usize,
-    ) -> BlockCollection {
+    ) -> Result<BlockCollection, String> {
         let records = dist_blocking_records(collection);
         let out = run_dist(
             transport,
@@ -807,7 +696,7 @@ impl Pipeline {
             &records,
             &DistOptions::for_workers(workers),
         )
-        .unwrap_or_else(|e| panic!("distributed blocking failed: {e}"));
+        .map_err(|e| format!("distributed blocking failed: {e}"))?;
         if self.obs.is_enabled() {
             // Mirror the layout counters of the in-process token build so
             // er-metrics-check invariants hold on either backend: each map
@@ -822,10 +711,10 @@ impl Pipeline {
         }
         out.stats.record_obs(&self.obs);
         let blocks = blocks_from_dist_pairs(&out.pairs)
-            .unwrap_or_else(|e| panic!("distributed blocking returned a malformed block: {e}"));
+            .map_err(|e| format!("distributed blocking returned a malformed block: {e}"))?;
         let blocks = BlockCollection::new(blocks);
         blocks.record_obs(&self.obs);
-        blocks
+        Ok(blocks)
     }
 
     /// Runs the pipeline *progressively*: candidates are scheduled by the
@@ -909,6 +798,33 @@ fn blocks_from_dist_pairs(pairs: &[(String, String)]) -> Result<Vec<Block>, Stri
             Ok(Block::new(key.clone(), members))
         })
         .collect()
+}
+
+/// The options of the infallible entry points: one attempt per stage, no
+/// checkpoints, no fault injection.
+fn single_attempt() -> RecoveryOptions {
+    RecoveryOptions::retrying(RetryPolicy::no_retry())
+}
+
+/// Unwraps an executor result for the infallible entry points, panicking
+/// with the [`PipelineError`]'s message (their documented `# Panics`).
+fn or_panic<T>(result: Result<T, PipelineError>) -> T {
+    match result {
+        Ok(v) => v,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// A blocking index admitted whole, nothing charged or shed: the
+/// out-of-core builds run under the budget's pager governance, and a loaded
+/// `blocked.ckpt` was unshed when it was saved.
+fn unshed(blocks: BlockCollection) -> er_blocking::governance::GovernedBlocks {
+    er_blocking::governance::GovernedBlocks {
+        blocks,
+        reserved_bytes: 0,
+        shed_blocks: 0,
+        shed_comparisons: 0,
+    }
 }
 
 /// Within-cluster pairs of a clustering (sorted), used when a clustering
@@ -1173,7 +1089,9 @@ mod tests {
                 er_mapreduce::default_registry(),
                 er_core::fault::ExecPolicy::default(),
             );
-            let got = p.dist_token_blocks(&ds.collection, &mut t, workers);
+            let got = p
+                .dist_token_blocks(&ds.collection, &mut t, workers)
+                .unwrap();
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -1216,16 +1134,6 @@ mod tests {
         let q = p.candidate_quality(&ds.collection, &ds.truth);
         assert!(q.pc() > 0.7);
         assert!(q.rr() > 0.9);
-    }
-
-    #[test]
-    fn oracle_matcher_override() {
-        let ds = dataset();
-        let p = Pipeline::builder().build();
-        let oracle = er_core::matching::OracleMatcher::new(&ds.truth);
-        let res = p.run_with_matcher(&ds.collection, &oracle);
-        let q = res.evaluate(ds.collection.len(), &ds.truth);
-        assert_eq!(q.precision(), 1.0, "oracle never errs");
     }
 
     #[test]
@@ -1395,6 +1303,35 @@ mod tests {
             assert_eq!(ooc.report.shed_comparisons, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unusable_segment_dir_is_a_typed_blocking_error() {
+        // A regular file where the spill directory should be: every attempt
+        // fails with the store's I/O error, returned as the stage's error
+        // value rather than a panic.
+        let ds = dataset();
+        let file = ooc_tmp_dir("regular-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let p = Pipeline::builder()
+            .segment_dir(&file)
+            .out_of_core(true)
+            .build();
+        let err = p
+            .run_with_recovery(&ds.collection, &RecoveryOptions::default())
+            .unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(err.stage, recovery::STAGE_BLOCKING);
+        assert_eq!(err.attempts, 3);
+        // The SegmentError text, naming the spill path under the file.
+        let segment = format!("segment {}", file.join("er-ooc-blocking-").display());
+        assert!(
+            err.message
+                .starts_with(&format!("out-of-core blocking failed: {segment}")),
+            "{err}"
+        );
+        assert!(err.message.contains("i/o error"), "{err}");
+        assert!(!err.message.contains("panic"), "{err}");
     }
 
     #[test]

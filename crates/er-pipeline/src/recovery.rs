@@ -5,8 +5,9 @@
 //! module gives the in-process pipeline the same contract:
 //!
 //! * **Stage retry** — each stage (blocking → meta-blocking → matching) runs
-//!   under a [`RetryPolicy`]: per-stage panics and transient errors are
-//!   caught and the stage is re-run with deterministic exponential backoff.
+//!   under a [`RetryPolicy`]: per-stage panics, stage errors and transient
+//!   faults are caught and the stage is re-run with deterministic
+//!   exponential backoff.
 //!   Stages are pure functions of the input collection, so a retried run is
 //!   bit-identical to an undisturbed one.
 //! * **Checkpoint/resume** — with a checkpoint directory configured, the
@@ -26,25 +27,22 @@
 //!
 //! Every recovery action is recorded as a [`RecoveryEvent`] in the returned
 //! [`RecoveryOutcome`], so callers (and tests) can assert on exactly what
-//! happened.
+//! happened. The layers themselves live in the one stage executor behind
+//! every entry point; this module holds their options, events, errors and
+//! checkpoint format.
 
-use crate::{BlockingStage, Pipeline, Resolution, StageReport};
+use crate::executor::Executor;
+use crate::{Pipeline, Resolution, StageReport};
 use er_blocking::block::{Block, BlockCollection};
-use er_blocking::sorted_neighborhood::MultiPassSortedNeighborhood;
+use er_blocking::governance::GovernedBlocks;
 use er_core::codec::{escape, header_field, unescape, LineCodec};
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
 use er_core::fault::{FaultInjector, RetryPolicy};
-use er_core::obs::{Event, Obs};
 use er_core::pair::Pair;
-use er_core::resource::{MemoryBudget, Watchdog};
-use er_metablocking::par_meta_block_obs;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
 
 /// Stage name used for fault keys, events and errors.
 pub const STAGE_BLOCKING: &str = "blocking";
@@ -283,378 +281,15 @@ impl Pipeline {
     /// with deterministic backoff, optional checkpoint/resume, and graceful
     /// degradation of meta-blocking. A run that completes without
     /// degradation produces a [`Resolution`] bit-identical to
-    /// [`Pipeline::run`].
+    /// [`Pipeline::run`], which is this same stage executor with one attempt
+    /// per stage.
     pub fn run_with_recovery(
         &self,
         collection: &EntityCollection,
         opts: &RecoveryOptions,
     ) -> Result<RecoveryOutcome, PipelineError> {
-        let run_span = self.obs().span("pipeline.run");
-        // Pre-register the retry counter so a fault-free snapshot reports an
-        // explicit 0 instead of a missing key — the CI checker asserts on it.
-        self.obs().counter("recovery.stage_retries");
-        let mut events: Vec<RecoveryEvent> = Vec::new();
-        let mut report = StageReport::default();
-        let budget = self.limits.budget();
-        let store = opts
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| CheckpointStore::new(dir.clone(), fingerprint(self, collection)));
-        let mut resumed_from: Option<&'static str> = None;
-
-        // ---- deepest checkpoint first: matched ------------------------------
-        if opts.resume {
-            if let Some(s) = &store {
-                match s.load_matched() {
-                    Ok(Some(m)) => {
-                        report.blocked_comparisons = m.blocked;
-                        report.scheduled_comparisons = m.scheduled;
-                        report.matched_comparisons = m.scheduled;
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_MATCHING,
-                        });
-                        let clustering_span = self.obs().span("pipeline.clustering");
-                        let (matches, clusters) = self.cluster(collection, m.scored);
-                        clustering_span.finish();
-                        run_span.finish();
-                        return Ok(RecoveryOutcome {
-                            resolution: Resolution {
-                                matches,
-                                clusters,
-                                report,
-                            },
-                            events,
-                            resumed_from: Some(STAGE_MATCHING),
-                            scheduled: None,
-                        });
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), &mut events, STAGE_MATCHING, reason),
-                }
-            }
-        }
-
-        // ---- candidates: scheduled checkpoint, else blocking (+ meta) -------
-        let mut candidates: Option<Vec<Pair>> = None;
-        if opts.resume {
-            if let Some(s) = &store {
-                match s.load_scheduled() {
-                    Ok(Some(sc)) => {
-                        report.blocked_comparisons = sc.blocked;
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_META_BLOCKING,
-                        });
-                        resumed_from = Some(STAGE_META_BLOCKING);
-                        candidates = Some(sc.pairs);
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), &mut events, STAGE_META_BLOCKING, reason),
-                }
-            }
-        }
-
-        let candidates: Vec<Pair> = match candidates {
-            Some(c) => c,
-            None => {
-                let c = self.blocked_candidates(
-                    collection,
-                    opts,
-                    &budget,
-                    &store,
-                    &mut events,
-                    &mut report,
-                    &mut resumed_from,
-                )?;
-                // A schedule derived from a budget-shed index is a degraded
-                // artifact — don't checkpoint it (see the matched guard).
-                if report.shed_comparisons == 0 {
-                    if let Some(s) = &store {
-                        match s.save_scheduled(&c, report.blocked_comparisons) {
-                            Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                                stage: STAGE_META_BLOCKING,
-                            }),
-                            Err(e) => warn_write(self.obs(), &mut events, STAGE_META_BLOCKING, e),
-                        }
-                    }
-                }
-                c
-            }
-        };
-        report.scheduled_comparisons = candidates.len() as u64;
-
-        // ---- matching -------------------------------------------------------
-        let t2 = Instant::now();
-        let matching_span = self.obs().span("pipeline.matching");
-        // A fresh watchdog per attempt: a retried stage gets the full stage
-        // deadline again, like an undisturbed run of that attempt.
-        let (scored, skipped) = run_stage(self.obs(), STAGE_MATCHING, opts, &mut events, || {
-            let watchdog = self.limits.stage_watchdog();
-            self.score_candidates_governed(collection, &candidates, &watchdog)
-        })?;
-        matching_span.finish();
-        report.matching_time = t2.elapsed();
-        report.skipped_comparisons = skipped;
-        report.matched_comparisons = candidates.len() as u64 - skipped;
-        if skipped > 0 {
-            events.push(RecoveryEvent::MatchingTruncatedByDeadline {
-                skipped_comparisons: skipped,
-            });
-        }
-        // Never checkpoint a deadline-truncated or shed-derived match set:
-        // checkpoints are reserved for complete stage outputs, so a resume
-        // can't silently replay a degraded result.
-        if skipped == 0 && report.shed_comparisons == 0 {
-            if let Some(s) = &store {
-                match s.save_matched(
-                    &scored,
-                    report.blocked_comparisons,
-                    report.scheduled_comparisons,
-                ) {
-                    Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                        stage: STAGE_MATCHING,
-                    }),
-                    Err(e) => warn_write(self.obs(), &mut events, STAGE_MATCHING, e),
-                }
-            }
-        }
-
-        // ---- clustering (cheap; always re-run) ------------------------------
-        let clustering_span = self.obs().span("pipeline.clustering");
-        let (matches, clusters) = self.cluster(collection, scored);
-        clustering_span.finish();
-        self.record_run_counters(&report, &matches, &clusters);
-        run_span.finish();
-        Ok(RecoveryOutcome {
-            resolution: Resolution {
-                matches,
-                clusters,
-                report,
-            },
-            events,
-            resumed_from,
-            scheduled: Some(candidates),
-        })
+        Executor::new(self, collection, opts).resolve()
     }
-
-    /// Produces the scheduled candidate comparisons under fault tolerance:
-    /// blocking (checkpointed, retried) followed by meta-blocking (retried,
-    /// degradable to the unpruned blocked pairs).
-    #[allow(clippy::too_many_arguments)]
-    fn blocked_candidates(
-        &self,
-        collection: &EntityCollection,
-        opts: &RecoveryOptions,
-        budget: &MemoryBudget,
-        store: &Option<CheckpointStore>,
-        events: &mut Vec<RecoveryEvent>,
-        report: &mut StageReport,
-        resumed_from: &mut Option<&'static str>,
-    ) -> Result<Vec<Pair>, PipelineError> {
-        if let BlockingStage::SortedNeighborhood(keys, window) = &self.blocking {
-            // Pair-producing method: blocking directly yields the schedule.
-            let t0 = Instant::now();
-            let blocking_span = self.obs().span("pipeline.blocking");
-            let watchdog = self.limits.stage_watchdog();
-            let pairs = run_stage(self.obs(), STAGE_BLOCKING, opts, events, || {
-                MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(collection)
-            })?;
-            blocking_span.finish();
-            self.overrun_event(STAGE_BLOCKING, &watchdog, events);
-            report.blocking_time = t0.elapsed();
-            report.blocked_comparisons = pairs.len() as u64;
-            return Ok(pairs);
-        }
-
-        // ---- blocking: checkpoint or retried run ---------------------------
-        let mut blocks: Option<BlockCollection> = None;
-        if opts.resume {
-            if let Some(s) = store {
-                match s.load_blocked() {
-                    Ok(Some(b)) => {
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_BLOCKING,
-                        });
-                        *resumed_from = Some(STAGE_BLOCKING);
-                        blocks = Some(b);
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), events, STAGE_BLOCKING, reason),
-                }
-            }
-        }
-        let blocks = match blocks {
-            Some(b) => b,
-            None => {
-                let t0 = Instant::now();
-                let blocking_span = self.obs().span("pipeline.blocking");
-                let watchdog = self.limits.stage_watchdog();
-                let governed = run_stage(self.obs(), STAGE_BLOCKING, opts, events, || {
-                    self.build_blocks(collection, &self.blocking, budget)
-                })?;
-                blocking_span.finish();
-                self.overrun_event(STAGE_BLOCKING, &watchdog, events);
-                report.blocking_time = t0.elapsed();
-                report.shed_comparisons = governed.shed_comparisons;
-                if governed.degraded() {
-                    events.push(RecoveryEvent::BlocksShedUnderPressure {
-                        shed_blocks: governed.shed_blocks,
-                        shed_comparisons: governed.shed_comparisons,
-                    });
-                }
-                // Only a complete (unshed) index is worth checkpointing: a
-                // resume must never silently replay a degraded artifact.
-                if !governed.degraded() {
-                    if let Some(s) = store {
-                        match s.save_blocked(&governed.blocks) {
-                            Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                                stage: STAGE_BLOCKING,
-                            }),
-                            Err(e) => warn_write(self.obs(), events, STAGE_BLOCKING, e),
-                        }
-                    }
-                }
-                governed.blocks
-            }
-        };
-        let blocked_pairs = blocks.distinct_pairs(collection);
-        report.blocked_comparisons = blocked_pairs.len() as u64;
-
-        // ---- meta-blocking: retried, degradable ----------------------------
-        match self.meta_blocking {
-            Some(mb) => {
-                let t1 = Instant::now();
-                let mb_span = self.obs().span("pipeline.meta_blocking");
-                let watchdog = self.limits.stage_watchdog();
-                let outcome = run_stage(self.obs(), STAGE_META_BLOCKING, opts, events, || {
-                    par_meta_block_obs(
-                        collection,
-                        &blocks,
-                        mb.weighting,
-                        mb.pruning,
-                        self.parallelism,
-                        self.obs(),
-                    )
-                });
-                mb_span.finish();
-                self.overrun_event(STAGE_META_BLOCKING, &watchdog, events);
-                match outcome {
-                    Ok(kept) => {
-                        report.meta_blocking_time = t1.elapsed();
-                        Ok(kept)
-                    }
-                    Err(err) => {
-                        // Degrade, loudly: recall is preserved because the
-                        // unpruned blocked comparisons are a superset of
-                        // anything meta-blocking would schedule. The warning
-                        // goes through the event sink (stderr by default).
-                        self.obs().emit(Event::Warning {
-                            stage: STAGE_META_BLOCKING.to_string(),
-                            reason: format!(
-                                "{err}; degrading to {} unpruned blocked comparisons",
-                                blocked_pairs.len()
-                            ),
-                        });
-                        events.push(RecoveryEvent::MetaBlockingDegraded { error: err.message });
-                        Ok(blocked_pairs)
-                    }
-                }
-            }
-            None => Ok(blocked_pairs),
-        }
-    }
-
-    /// Records a stage that finished after its deadline: the obs warning +
-    /// counter plus a [`RecoveryEvent::StageOverranDeadline`]. A disarmed or
-    /// unexpired watchdog is a no-op.
-    fn overrun_event(
-        &self,
-        stage: &'static str,
-        watchdog: &Watchdog,
-        events: &mut Vec<RecoveryEvent>,
-    ) {
-        if watchdog.expired() {
-            self.note_overrun(stage, watchdog);
-            events.push(RecoveryEvent::StageOverranDeadline { stage });
-        }
-    }
-}
-
-/// Runs one stage under the retry policy: panics and injected transient
-/// faults are caught; the stage is re-run after a deterministic backoff
-/// until it succeeds or the attempt budget is exhausted.
-fn run_stage<T>(
-    obs: &Obs,
-    stage: &'static str,
-    opts: &RecoveryOptions,
-    events: &mut Vec<RecoveryEvent>,
-    f: impl Fn() -> T,
-) -> Result<T, PipelineError> {
-    let max = opts.retry.max_attempts.max(1);
-    let mut last_error = String::new();
-    for attempt in 0..max {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inj) = &opts.injector {
-                inj.fire(stage, 0, attempt)?;
-            }
-            Ok::<T, er_core::fault::TransientFault>(f())
-        }));
-        match outcome {
-            Ok(Ok(v)) => return Ok(v),
-            Ok(Err(transient)) => last_error = transient.to_string(),
-            Err(payload) => last_error = panic_message(payload.as_ref()),
-        }
-        if attempt + 1 < max {
-            obs.counter("recovery.stage_retries").incr();
-            events.push(RecoveryEvent::StageRetried {
-                stage,
-                failed_attempt: attempt,
-                error: last_error.clone(),
-            });
-            let backoff = opts.retry.backoff_for(stage, 0, attempt + 1);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
-        }
-    }
-    Err(PipelineError {
-        stage,
-        attempts: max,
-        message: last_error,
-    })
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
-}
-
-fn reject(obs: &Obs, events: &mut Vec<RecoveryEvent>, stage: &'static str, reason: String) {
-    obs.emit(Event::Warning {
-        stage: stage.to_string(),
-        reason: format!("checkpoint rejected ({reason}); running the stage from scratch"),
-    });
-    events.push(RecoveryEvent::CheckpointRejected { stage, reason });
-}
-
-fn warn_write(
-    obs: &Obs,
-    events: &mut Vec<RecoveryEvent>,
-    stage: &'static str,
-    err: std::io::Error,
-) {
-    obs.emit(Event::Warning {
-        stage: stage.to_string(),
-        reason: format!("checkpoint write failed ({err}); continuing uncheckpointed"),
-    });
-    events.push(RecoveryEvent::CheckpointWriteFailed {
-        stage,
-        reason: err.to_string(),
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +300,7 @@ fn warn_write(
 /// Cheap by design — it hashes the collection's size/mode and the pipeline's
 /// configuration, not the full data — so it catches the common operator
 /// mistakes (different dataset, different flags), not adversarial edits.
-fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
+pub(crate) fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
     // `limits` is part of the configuration: a budget-shed blocking index
     // must never be resumed by a run under different (or no) limits.
     let summary = format!(
@@ -691,34 +326,47 @@ fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
 const CKPT_MAGIC: &str = "er-checkpoint";
 const CKPT_VERSION: &str = "v1";
 
-struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     dir: PathBuf,
     codec: LineCodec,
 }
 
-/// A loaded `scheduled.ckpt`.
-struct ScheduledCkpt {
-    pairs: Vec<Pair>,
-    blocked: u64,
+/// A stage output that round-trips through its checkpoint file.
+pub(crate) trait Checkpoint: Sized {
+    /// The stage whose output this is.
+    const STAGE: &'static str;
+    /// Reads the checkpoint: `Ok(None)` when absent, `Err(reason)` when the
+    /// header, fingerprint, footer or body is wrong.
+    fn load(store: &CheckpointStore) -> Result<Option<Self>, String>;
+    /// Writes the checkpoint atomically.
+    fn save(&self, store: &CheckpointStore) -> std::io::Result<()>;
+    /// Whether this output is complete. Only complete outputs are
+    /// checkpointed, so a resume never silently replays a degraded one.
+    fn complete(&self, report: &StageReport) -> bool;
+    /// Restores the report counts a loaded checkpoint carries.
+    fn restore(&self, _report: &mut StageReport) {}
 }
 
-/// A loaded `matched.ckpt`.
-struct MatchedCkpt {
-    scored: Vec<(Pair, f64)>,
-    blocked: u64,
-    scheduled: u64,
+/// The scheduled comparisons (`scheduled.ckpt`) with the blocked count they
+/// were scheduled from.
+pub(crate) struct Schedule {
+    pub(crate) pairs: Vec<Pair>,
+    pub(crate) blocked: u64,
+}
+
+/// The scored matches (`matched.ckpt`) with the counts they came from.
+pub(crate) struct Matched {
+    pub(crate) scored: Vec<(Pair, f64)>,
+    pub(crate) blocked: u64,
+    pub(crate) scheduled: u64,
 }
 
 impl CheckpointStore {
-    fn new(dir: PathBuf, fingerprint: u64) -> Self {
+    pub(crate) fn new(dir: PathBuf, fingerprint: u64) -> Self {
         CheckpointStore {
             dir,
             codec: LineCodec::new(CKPT_MAGIC, CKPT_VERSION, fingerprint),
         }
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(name)
     }
 
     /// Writes `lines` through the shared [`LineCodec`]: atomic temp-file +
@@ -731,30 +379,22 @@ impl CheckpointStore {
         lines: impl Iterator<Item = String>,
     ) -> std::io::Result<()> {
         self.codec
-            .write_atomic(&self.path(name), stage, extra, lines)
+            .write_atomic(&self.dir.join(name), stage, extra, lines)
     }
 
     /// Reads a checkpoint: `Ok(None)` when absent, `Err(reason)` when the
     /// header, fingerprint or footer is wrong, `Ok(Some(body_lines))`
     /// otherwise.
     fn read_file(&self, name: &str, stage: &str) -> Result<Option<(String, Vec<String>)>, String> {
-        self.codec.read(&self.path(name), stage)
+        self.codec.read(&self.dir.join(name), stage)
     }
+}
 
-    fn save_blocked(&self, blocks: &BlockCollection) -> std::io::Result<()> {
-        self.write_file(
-            "blocked.ckpt",
-            STAGE_BLOCKING,
-            "",
-            blocks.blocks().iter().map(|b| {
-                let ids: Vec<String> = b.entities().iter().map(|e| e.0.to_string()).collect();
-                format!("{}\t{}", escape(b.key()), ids.join(","))
-            }),
-        )
-    }
+impl Checkpoint for GovernedBlocks {
+    const STAGE: &'static str = STAGE_BLOCKING;
 
-    fn load_blocked(&self) -> Result<Option<BlockCollection>, String> {
-        let Some((_, body)) = self.read_file("blocked.ckpt", STAGE_BLOCKING)? else {
+    fn load(store: &CheckpointStore) -> Result<Option<Self>, String> {
+        let Some((_, body)) = store.read_file("blocked.ckpt", STAGE_BLOCKING)? else {
             return Ok(None);
         };
         let mut blocks = Vec::with_capacity(body.len());
@@ -770,22 +410,31 @@ impl CheckpointStore {
                 .map_err(|e| format!("line {}: bad entity id: {e}", i + 2))?;
             blocks.push(Block::new(unescape(key)?, entities));
         }
-        Ok(Some(BlockCollection::new(blocks)))
+        Ok(Some(crate::unshed(BlockCollection::new(blocks))))
     }
 
-    fn save_scheduled(&self, pairs: &[Pair], blocked: u64) -> std::io::Result<()> {
-        self.write_file(
-            "scheduled.ckpt",
-            STAGE_META_BLOCKING,
-            &format!(" blocked={blocked}"),
-            pairs
-                .iter()
-                .map(|p| format!("{} {}", p.first().0, p.second().0)),
+    fn save(&self, store: &CheckpointStore) -> std::io::Result<()> {
+        store.write_file(
+            "blocked.ckpt",
+            STAGE_BLOCKING,
+            "",
+            self.blocks.blocks().iter().map(|b| {
+                let ids: Vec<String> = b.entities().iter().map(|e| e.0.to_string()).collect();
+                format!("{}\t{}", escape(b.key()), ids.join(","))
+            }),
         )
     }
 
-    fn load_scheduled(&self) -> Result<Option<ScheduledCkpt>, String> {
-        let Some((header, body)) = self.read_file("scheduled.ckpt", STAGE_META_BLOCKING)? else {
+    fn complete(&self, _report: &StageReport) -> bool {
+        !self.degraded()
+    }
+}
+
+impl Checkpoint for Schedule {
+    const STAGE: &'static str = STAGE_META_BLOCKING;
+
+    fn load(store: &CheckpointStore) -> Result<Option<Self>, String> {
+        let Some((header, body)) = store.read_file("scheduled.ckpt", STAGE_META_BLOCKING)? else {
             return Ok(None);
         };
         let blocked = header_field(&header, "blocked")?;
@@ -799,28 +448,35 @@ impl CheckpointStore {
             let b: u32 = b.parse().map_err(|e| format!("line {}: {e}", i + 2))?;
             pairs.push(Pair::new(EntityId(a), EntityId(b)));
         }
-        Ok(Some(ScheduledCkpt { pairs, blocked }))
+        Ok(Some(Schedule { pairs, blocked }))
     }
 
-    fn save_matched(
-        &self,
-        scored: &[(Pair, f64)],
-        blocked: u64,
-        scheduled: u64,
-    ) -> std::io::Result<()> {
-        self.write_file(
-            "matched.ckpt",
-            STAGE_MATCHING,
-            &format!(" blocked={blocked} scheduled={scheduled}"),
-            scored.iter().map(|(p, s)| {
-                // Scores as IEEE-754 bit patterns: bit-identical round-trip.
-                format!("{} {} {:016x}", p.first().0, p.second().0, s.to_bits())
-            }),
+    fn save(&self, store: &CheckpointStore) -> std::io::Result<()> {
+        store.write_file(
+            "scheduled.ckpt",
+            STAGE_META_BLOCKING,
+            &format!(" blocked={}", self.blocked),
+            self.pairs
+                .iter()
+                .map(|p| format!("{} {}", p.first().0, p.second().0)),
         )
     }
 
-    fn load_matched(&self) -> Result<Option<MatchedCkpt>, String> {
-        let Some((header, body)) = self.read_file("matched.ckpt", STAGE_MATCHING)? else {
+    /// A schedule derived from a budget-shed index is a degraded artifact.
+    fn complete(&self, report: &StageReport) -> bool {
+        report.shed_comparisons == 0
+    }
+
+    fn restore(&self, report: &mut StageReport) {
+        report.blocked_comparisons = self.blocked;
+    }
+}
+
+impl Checkpoint for Matched {
+    const STAGE: &'static str = STAGE_MATCHING;
+
+    fn load(store: &CheckpointStore) -> Result<Option<Self>, String> {
+        let Some((header, body)) = store.read_file("matched.ckpt", STAGE_MATCHING)? else {
             return Ok(None);
         };
         let blocked = header_field(&header, "blocked")?;
@@ -837,11 +493,34 @@ impl CheckpointStore {
             let bits = u64::from_str_radix(bits, 16).map_err(|e| format!("line {}: {e}", i + 2))?;
             scored.push((Pair::new(EntityId(a), EntityId(b)), f64::from_bits(bits)));
         }
-        Ok(Some(MatchedCkpt {
+        Ok(Some(Matched {
             scored,
             blocked,
             scheduled,
         }))
+    }
+
+    fn save(&self, store: &CheckpointStore) -> std::io::Result<()> {
+        store.write_file(
+            "matched.ckpt",
+            STAGE_MATCHING,
+            &format!(" blocked={} scheduled={}", self.blocked, self.scheduled),
+            self.scored.iter().map(|(p, s)| {
+                // Scores as IEEE-754 bit patterns: bit-identical round-trip.
+                format!("{} {} {:016x}", p.first().0, p.second().0, s.to_bits())
+            }),
+        )
+    }
+
+    /// Never a deadline-truncated or shed-derived match set.
+    fn complete(&self, report: &StageReport) -> bool {
+        report.skipped_comparisons == 0 && report.shed_comparisons == 0
+    }
+
+    fn restore(&self, report: &mut StageReport) {
+        report.blocked_comparisons = self.blocked;
+        report.scheduled_comparisons = self.scheduled;
+        report.matched_comparisons = self.scheduled;
     }
 }
 
@@ -951,6 +630,34 @@ mod tests {
             resumed.resolution.report.scheduled_comparisons,
             plain.report.scheduled_comparisons
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn matched_resume_records_the_same_pipeline_counters() {
+        use er_core::obs::{MetricsSnapshot, Obs};
+        let pipeline_counters = |snapshot: MetricsSnapshot| {
+            snapshot
+                .counters
+                .into_iter()
+                .filter(|(k, _)| k.starts_with("pipeline."))
+                .collect::<Vec<_>>()
+        };
+        let ds = dataset();
+        let dir = tmp_dir("resume-counters");
+        let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+        let (fresh_obs, resumed_obs) = (Obs::enabled(), Obs::enabled());
+        let fresh = Pipeline::builder().observability(fresh_obs.clone()).build();
+        fresh.run_with_recovery(&ds.collection, &opts).unwrap();
+        let resumed = Pipeline::builder()
+            .observability(resumed_obs.clone())
+            .build()
+            .run_with_recovery(&ds.collection, &opts.resume(true))
+            .unwrap();
+        assert_eq!(resumed.resumed_from, Some(STAGE_MATCHING));
+        let counters = pipeline_counters(fresh_obs.snapshot());
+        assert_eq!(counters.len(), 5, "{counters:?}");
+        assert_eq!(pipeline_counters(resumed_obs.snapshot()), counters);
         let _ = fs::remove_dir_all(&dir);
     }
 
